@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy
-
 from .automaton import Automaton
 from .model import ModelError, Strategy
 
@@ -106,6 +104,10 @@ def forecast_rollout(
     references unknown successors, or gives some transient state no path
     to absorption (expected rollout time would be infinite).
     """
+    # Imported here, not at module level: only this offline analysis needs
+    # numpy, and the engine, proxies and metrics server import this package.
+    import numpy
+
     automaton = strategy.automaton if isinstance(strategy, Strategy) else strategy
     if automaton is None:
         raise ModelError("strategy has no automaton")

@@ -23,11 +23,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from types import SimpleNamespace
-
-import networkx
+from typing import TYPE_CHECKING
 
 from .automaton import Automaton
 from .model import Strategy
+
+if TYPE_CHECKING:
+    import networkx
 
 
 class Severity(enum.Enum):
@@ -52,6 +54,8 @@ class Finding:
 
 def strategy_graph(automaton: Automaton) -> "networkx.DiGraph":
     """The automaton as a directed graph (transitions + fallbacks)."""
+    import networkx  # offline analysis only; kept off the serving import path
+
     graph = networkx.DiGraph()
     for name, state in automaton.states.items():
         graph.add_node(name, final=state.final, rollback=state.rollback)

@@ -19,6 +19,7 @@ from .errors import ConnectionClosed, HttpError, RequestTimeout
 from .headers import Headers
 from .message import MAX_BODY_BYTES, Request, Response, read_response
 from .stream import relay_body
+from .transport import open_connection
 
 
 class _Pool:
@@ -115,6 +116,9 @@ class HttpClient:
         The connection goes back to the pool only once that stream is
         fully drained (the keep-alive drain rule) — an abandoned or
         broken stream closes the connection instead.
+
+        *timeout* is one deadline for sending the request and reading the
+        response (its head only, with ``stream=True``), not one per step.
         """
         if self._closed:
             raise ConnectionClosed("client is closed")
@@ -159,14 +163,14 @@ class HttpClient:
             )
             pump.add_done_callback(_on_pump_done(writer))
         try:
-            await asyncio.wait_for(writer.drain(), deadline)
-            response = await asyncio.wait_for(
-                read_response(
+            # One timeout scope, not a wait_for per step: on 3.11 each
+            # wait_for costs a Task and a timer on every round trip.
+            async with asyncio.timeout(deadline):
+                await writer.drain()
+                response = await read_response(
                     reader, stream=stream, max_body=self.max_body_bytes
-                ),
-                deadline,
-            )
-        except asyncio.TimeoutError as exc:
+                )
+        except TimeoutError as exc:
             await _cancel_pump(pump)
             raise RequestTimeout(f"{request.method} {request.target}") from exc
         except BaseException as exc:
@@ -257,7 +261,7 @@ class HttpClient:
                 if not writer.is_closing() and not reader.at_eof():
                     return True, (reader, writer)
                 _close_now(writer)
-        reader, writer = await asyncio.open_connection(host, port)
+        reader, writer = await open_connection(host, port)
         return False, (reader, writer)
 
     def _release(
@@ -355,8 +359,9 @@ async def _cancel_pump(pump: "asyncio.Task[None] | None") -> None:
 async def _await_pump(pump: "asyncio.Task[None]", deadline: float) -> bool:
     """Wait for the request-body pump; ``True`` if it finished cleanly."""
     try:
-        await asyncio.wait_for(asyncio.shield(pump), deadline)
-    except (asyncio.TimeoutError, Exception):
+        async with asyncio.timeout(deadline):
+            await asyncio.shield(pump)
+    except Exception:
         await _cancel_pump(pump)
         return False
     return True

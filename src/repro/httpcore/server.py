@@ -17,6 +17,7 @@ from .errors import BodyTooLarge, HttpError, ProtocolError
 from .message import MAX_BODY_BYTES, Request, Response, read_request
 from .router import Handler, Router
 from .stream import relay_body
+from .transport import start_server
 
 logger = logging.getLogger(__name__)
 
@@ -77,7 +78,7 @@ class HttpServer:
         """
         if self._server is not None:
             raise RuntimeError(f"server {self.name!r} already started")
-        self._server = await asyncio.start_server(
+        self._server = await start_server(
             self._handle_connection,
             self.host,
             self.port,

@@ -32,7 +32,7 @@ from weakref import WeakKeyDictionary
 from . import aggregate
 from .aggregate import RANGE_REFERENCE, _rate  # noqa: F401  (re-exported reference)
 from .series import TimeSeries
-from .store import LabelMatcher, MetricStore
+from .store import LabelMatcher, MetricStore, _compile_anchored
 
 #: Instant selectors ignore samples older than this, like Prometheus.
 STALENESS = 300.0
@@ -251,6 +251,14 @@ class _Parser:
         if kind != "string":
             raise QueryError(f"expected quoted label value, got {raw!r}")
         value = raw[1:-1].replace('\\"', '"').replace("\\\\", "\\")
+        if op in ("=~", "!~"):
+            # Fail at compile time, not on the first evaluation.
+            try:
+                _compile_anchored(value)
+            except re.error as exc:
+                raise QueryError(
+                    f"invalid regex {value!r} for label {label!r}: {exc.msg}"
+                ) from None
         return LabelMatcher(label, op, value)
 
     def _duration(self) -> float:

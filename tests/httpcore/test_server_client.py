@@ -121,6 +121,43 @@ async def test_request_timeout():
             await client.get(f"http://{server.address}/slow", timeout=0.05)
 
 
+def stall_drains(monkeypatch, seconds: float) -> None:
+    """Make new client connections hold written bytes in a stalled drain.
+
+    Like a full send buffer: nothing reaches the server until the drain
+    has waited *seconds*.
+    """
+    from repro.httpcore import client as client_module
+
+    connect = client_module.open_connection
+
+    async def stalling_open_connection(host, port):
+        reader, writer = await connect(host, port)
+        write, drain = writer.write, writer.drain
+        held: list[bytes] = []
+
+        async def slow_drain():
+            await asyncio.sleep(seconds)
+            for data in held:
+                write(data)
+            held.clear()
+            await drain()
+
+        writer.write, writer.drain = held.append, slow_drain
+        return reader, writer
+
+    monkeypatch.setattr(client_module, "open_connection", stalling_open_connection)
+
+
+async def test_stalled_drain_and_read_share_one_deadline(monkeypatch):
+    # The 0.25 s drain and the 0.5 s handler each fit in the 0.6 s
+    # deadline; together they do not.
+    stall_drains(monkeypatch, 0.25)
+    async with make_server() as server, HttpClient() as client:
+        with pytest.raises(RequestTimeout):
+            await client.get(f"http://{server.address}/slow", timeout=0.6)
+
+
 async def test_client_close_rejects_further_use():
     async with make_server() as server:
         client = HttpClient()

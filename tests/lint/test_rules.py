@@ -511,6 +511,40 @@ strategy:
     assert "does not compile" in diagnostic.message
 
 
+def test_bf301_invalid_regex_matcher():
+    document = (
+        """\
+strategy:
+  name: t
+  phases:
+    - phase:
+        name: a
+        checks:
+          - metric:
+              name: m
+              query: 'up{v=~"["}'
+              validator: "<5"
+              intervalTime: 1
+              intervalLimit: 2
+        next: done
+        onFailure: rollback
+    - final:
+        name: done
+    - final:
+        name: rollback
+        rollback: true
+"""
+        + DEPLOYMENT
+    )
+    result = lint(document)
+    [diagnostic] = by_code(result, "BF301")
+    assert diagnostic.span.line == line_of(document, "query:")
+    assert "invalid regex" in diagnostic.message
+    # The semantic rules skip a query that does not compile rather than
+    # reason about its value range.
+    assert "BF602" not in codes(result)
+
+
 def test_bf301_skips_non_prometheus_providers():
     document = (
         """\

@@ -1,5 +1,7 @@
 """Tests for the metrics server and the provider implementations."""
 
+from urllib.parse import quote
+
 import pytest
 
 from repro.clock import VirtualClock
@@ -76,6 +78,25 @@ async def test_metrics_server_rejects_bad_query():
             )
             assert response.status == 400
             assert response.json()["status"] == "error"
+    finally:
+        await server.stop()
+
+
+async def test_metrics_server_rejects_invalid_regex_matcher():
+    """A regex that does not compile is the client's error: 400, not 500."""
+    server = MetricsServer(clock=VirtualClock())
+    server.store.record("up", 1.0, 0.0, {"v": "a"})
+    await server.start(scrape=False)
+    try:
+        async with HttpClient() as client:
+            for query in ('up{v=~"["}', 'up{v!~"(a"}'):
+                response = await client.get(
+                    f"http://{server.address}/api/v1/query?query={quote(query)}"
+                )
+                assert response.status == 400
+                payload = response.json()
+                assert payload["status"] == "error"
+                assert "invalid regex" in payload["error"]
     finally:
         await server.stop()
 

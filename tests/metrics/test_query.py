@@ -90,6 +90,8 @@ def test_parse_errors():
         "m n",  # trailing input
         "sum(",  # unterminated call
         "m{a~\"x\"}",  # bad operator
+        'm{a=~"["}',  # regex that does not compile
+        'm{a!~"(x"}',  # same, negated
         "@",  # bad character
     ]:
         with pytest.raises(QueryError):

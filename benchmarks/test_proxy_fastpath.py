@@ -33,7 +33,7 @@ from pathlib import Path
 
 from repro.core import RoutingConfig, ShadowRoute, TrafficSplit, canary_split
 from repro.httpcore import Headers, Request, Response
-from repro.httpcore.client import _split_url
+from repro.httpcore.client import split_url
 from repro.httpcore.cookies import parse_cookie_header
 from repro.metrics import Registry
 from repro.proxy import CLIENT_COOKIE, BifrostProxy, FilterChain
@@ -108,7 +108,7 @@ class SeedStubClient:
     """Replays seed ``HttpClient.request()`` build work, round-trip stubbed."""
 
     async def request(self, method, url, headers=None, body=b""):
-        host, port, target = _split_url(url)
+        host, port, target = split_url(url)
         request_headers = (
             headers.copy() if isinstance(headers, Headers) else Headers(headers)
         )

@@ -515,11 +515,19 @@ class CheckRunner:
             await scheduler.close()
 
     async def run_sequential(self) -> CheckResult:
-        """Reference implementation: one dedicated timer loop per check."""
+        """Reference implementation: one dedicated timer loop per check.
+
+        Fixed-rate ticks: tick k is due at ``start + k·interval``.  After
+        an evaluation, every tick whose deadline is already past is
+        skipped (never replayed), so a tick is due at or after the
+        instant the previous evaluation finished.
+        """
         progress = CheckProgress(self.check)
         timer = self.check.timer
+        start = self.clock.now()
+        tick = 1
         for _ in range(timer.repetitions):
-            await self.clock.sleep(timer.interval)
+            await self.clock.sleep(start + tick * timer.interval - self.clock.now())
             evaluation = await self.check.condition.evaluate_detailed(self.providers)
             at = self.clock.now()
             outcome = progress.apply(evaluation, at)
@@ -527,6 +535,9 @@ class CheckRunner:
                 await self._notify(outcome.execution)
             if outcome.triggered:
                 raise ExceptionTriggered(self.check, at)
+            tick += 1
+            while start + tick * timer.interval < self.clock.now():
+                tick += 1
         return progress.result()
 
     async def _notify(self, execution: Execution) -> None:

@@ -439,14 +439,17 @@ class StrategyExecution:
         check instead of one task per check.  An exception check failure
         cancels every other scheduled check and propagates
         :class:`ExceptionTriggered` — the immediate-rollback semantics of
-        the model.
+        the model.  All checks are armed from one clock reading, so checks
+        with equal intervals share a tick grid and evaluate as one wave.
         """
+        start = self.clock.now()
         futures = [
             self.scheduler.schedule(
                 check,
                 self.providers,
                 observer=self._check_observer,
                 on_complete=self._check_completed,
+                start=start,
             )
             for check in state.checks
         ]

@@ -9,6 +9,15 @@ one heap entry, the driver sleeps until the earliest deadline, and a due
 tick dispatches the check's condition evaluation as a short-lived task
 that re-arms the heap when it completes.
 
+Ticks are **fixed-rate**: a check armed at ``start`` fires at
+``start + k·interval`` for k = 1, 2, ..., whatever its evaluations cost,
+so query latency never accumulates into the schedule.  An evaluation that
+overruns one or more deadlines skips them: the next tick is the first
+grid point not already past, and missed ticks are never replayed in a
+burst (:attr:`CheckScheduler.ticks_skipped` counts them).  Checks armed
+from one clock reading with equal intervals share every deadline and
+therefore evaluate as one wave on every tick.
+
 Semantics are inherited from :class:`~repro.core.checks.CheckProgress`
 (the same object the per-task reference runner folds ticks through), so
 exception-check preemption, ``onProviderError`` hold/tolerate handling,
@@ -51,6 +60,8 @@ class _Entry:
         "on_complete",
         "progress",
         "remaining",
+        "start",
+        "tick",
         "future",
         "eval_task",
     )
@@ -62,6 +73,7 @@ class _Entry:
         observer: ExecutionObserver | None,
         on_complete,
         future: "asyncio.Future[CheckResult]",
+        start: float,
     ):
         self.check = check
         self.providers = providers
@@ -69,6 +81,9 @@ class _Entry:
         self.on_complete = on_complete
         self.progress = CheckProgress(check)
         self.remaining = check.timer.repetitions
+        #: The tick grid: deadline k lies at ``start + tick * interval``.
+        self.start = start
+        self.tick = 1
         self.future = future
         self.eval_task: asyncio.Task | None = None
 
@@ -100,6 +115,8 @@ class CheckScheduler:
         #: for the shared-evaluation-plan path).
         self.tick_waves = 0
         self.last_wave_size = 0
+        #: Deadlines passed over because an evaluation overran them.
+        self.ticks_skipped = 0
 
     def schedule(
         self,
@@ -107,8 +124,13 @@ class CheckScheduler:
         providers: dict[str, MetricsProvider],
         observer: ExecutionObserver | None = None,
         on_complete=None,
+        start: float | None = None,
     ) -> "asyncio.Future[CheckResult]":
         """Arm *check*'s timer loop; returns a future for its final result.
+
+        Ticks fall at ``start + k·interval`` (k ≥ 1); *start* defaults to
+        now.  Arming several checks from one *start* puts equal-interval
+        checks on one phase, so they tick as one wave.
 
         *observer* is invoked after every recorded execution, exactly as
         the per-task runner did.  *on_complete*, when given, is awaited
@@ -119,7 +141,9 @@ class CheckScheduler:
         future: asyncio.Future[CheckResult] = (
             asyncio.get_running_loop().create_future()
         )
-        entry = _Entry(check, providers, observer, on_complete, future)
+        if start is None:
+            start = self.clock.now()
+        entry = _Entry(check, providers, observer, on_complete, future, start)
         # Arming a check subscribes its queries to any plan-aware provider:
         # subexpressions shared with other scheduled checks intern into one
         # evaluation-plan node, and their range windows get streaming
@@ -129,7 +153,7 @@ class CheckScheduler:
         future.add_done_callback(
             lambda done, entry=entry: self._on_future_done(entry, done)
         )
-        self._arm(entry, self.clock.now() + check.timer.interval)
+        self._arm(entry, start + check.timer.interval)
         self._ensure_driver()
         return future
 
@@ -169,7 +193,10 @@ class CheckScheduler:
         created, so checks sharing a deadline evaluate at the same clock
         instant — against a shared store their plan nodes carry the same
         ``(tick, generation)`` stamp and each distinct subexpression runs
-        once for the whole wave (see :mod:`repro.metrics.plan`).
+        once for the whole wave (see :mod:`repro.metrics.plan`).  Ticks
+        are fixed-rate, so checks that share a grid re-form the same wave
+        on every tick; batching providers (the HTTP provider's pipelined
+        round trip) see the whole wave's queries within one loop turn.
         """
         now = self.clock.now()
         heap = self._heap
@@ -231,12 +258,28 @@ class CheckScheduler:
                 await self._finish_result(entry)
                 return
             entry.eval_task = None
-            self._arm(entry, self.clock.now() + entry.check.timer.interval)
+            self._arm(entry, self._next_deadline(entry))
         except asyncio.CancelledError:
             raise
         except Exception as exc:  # defensive: a broken provider/observer
             entry.eval_task = None
             self._finish(entry, error=exc)
+
+    def _next_deadline(self, entry: _Entry) -> float:
+        """Advance *entry* to its next grid tick, skipping any already past.
+
+        A deadline equal to now is still due; only strictly past ones are
+        skipped, so an evaluation that costs exactly one interval keeps
+        every tick.
+        """
+        interval = entry.check.timer.interval
+        now = self.clock.now()
+        tick = entry.tick + 1
+        while entry.start + tick * interval < now:
+            tick += 1
+            self.ticks_skipped += 1
+        entry.tick = tick
+        return entry.start + tick * interval
 
     async def _notify(self, entry: _Entry, execution: Execution) -> None:
         if entry.observer is None:

@@ -5,7 +5,7 @@ prototype was built on.  Provides message types, a routing server, a pooled
 client, streaming body primitives, and cookie helpers.
 """
 
-from .client import HttpClient
+from .client import HttpClient, split_url
 from .cookies import SetCookie, format_cookie_header, parse_cookie_header
 from .errors import (
     BodyTooLarge,
@@ -61,6 +61,7 @@ __all__ = [
     "RouteNotFound",
     "Router",
     "SetCookie",
+    "split_url",
     "StreamAborted",
     "StreamTee",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from typing import Any
+from typing import Any, Callable, Sequence
 
 from .errors import ConnectionClosed, HttpError, RequestTimeout
 from .headers import Headers
@@ -84,7 +84,7 @@ class HttpClient:
         A request that fails on a reused (possibly stale) connection is
         retried once on a fresh connection; a failure there propagates.
         """
-        host, port, target = _split_url(url)
+        host, port, target = split_url(url)
         request_headers = headers.copy() if isinstance(headers, Headers) else Headers(headers)
         if json_body is not None:
             body = json.dumps(json_body).encode("utf-8")
@@ -205,6 +205,93 @@ class HttpClient:
             self._release(key, connection)
         return response
 
+    async def send_many(
+        self,
+        requests: Sequence[Request],
+        host: str,
+        port: int,
+        on_response: Callable[[int, Response], None],
+    ) -> None:
+        """Pipeline bodiless GETs to ``host:port`` over one pooled connection.
+
+        Every request goes out in one write and the responses are read
+        back in order (RFC 7230 §6.3.2); ``on_response(index, response)``
+        runs as soon as each one is parsed, so a caller waiting on the
+        first answer does not wait for the last.  The client's *timeout*
+        is one deadline for the whole pipeline, connects included.
+
+        If the server closes the connection mid-pipeline — it answers
+        with ``Connection: close``, or a reused pooled connection turns
+        out stale — exactly the unanswered suffix is replayed once, on a
+        fresh connection.  Replaying is safe only for idempotent requests
+        without a body, so anything else is rejected up front.
+        """
+        for request in requests:
+            if request.method != "GET" or request.body or request.stream is not None:
+                raise ValueError(
+                    "send_many pipelines bodiless GETs only: "
+                    f"{request.method} {request.target}"
+                )
+        if self._closed:
+            raise ConnectionClosed("client is closed")
+        key = f"{host}:{port}"
+        answered = 0
+
+        def deliver(response: Response) -> None:
+            nonlocal answered
+            answered += 1
+            on_response(answered - 1, response)
+
+        try:
+            async with asyncio.timeout(self.timeout):
+                reused, connection = await self._acquire(key, host, port)
+                try:
+                    await self._pipeline(key, connection, requests, deliver)
+                except (HttpError, ConnectionError, OSError):
+                    if not reused:
+                        raise
+                if answered < len(requests):
+                    _, fresh = await self._acquire(key, host, port, force_new=True)
+                    await self._pipeline(key, fresh, requests[answered:], deliver)
+                    if answered < len(requests):
+                        raise ConnectionClosed(
+                            f"{key} closed the connection mid-pipeline twice"
+                        )
+        except TimeoutError as exc:
+            raise RequestTimeout(
+                f"pipeline of {len(requests)} requests to {key}"
+            ) from exc
+
+    async def _pipeline(
+        self,
+        key: str,
+        connection: tuple[asyncio.StreamReader, asyncio.StreamWriter],
+        requests: Sequence[Request],
+        deliver: Callable[[Response], None],
+    ) -> None:
+        """Send *requests* in one write; ``deliver`` each answer in order.
+
+        Returns early, connection closed, after a ``Connection: close``
+        answer; any failure closes the connection too.  Only a pipeline
+        read to the end goes back to the pool.
+        """
+        reader, writer = connection
+        try:
+            # No drain(): the transport flushes the pipeline while we read,
+            # so a long pipeline cannot deadlock against a server that is
+            # blocked writing answers we have not started reading.
+            writer.write(b"".join([request.serialize() for request in requests]))
+            for _ in requests:
+                response = await read_response(reader, max_body=self.max_body_bytes)
+                deliver(response)
+                if response.headers.get("Connection", "").lower() == "close":
+                    _close_now(writer)
+                    return
+        except BaseException:
+            _close_now(writer)
+            raise
+        self._release(key, connection)
+
     def _stream_finalizer(
         self,
         key: str,
@@ -306,7 +393,7 @@ class HttpClient:
         await self.close()
 
 
-def _split_url(url: str) -> tuple[str, int, str]:
+def split_url(url: str) -> tuple[str, int, str]:
     """Split ``http://host:port/path?q`` into (host, port, target)."""
     if url.startswith("http://"):
         url = url[len("http://") :]

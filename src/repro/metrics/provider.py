@@ -20,7 +20,7 @@ import asyncio
 from urllib.parse import quote
 
 from ..clock import Clock, RealClock
-from ..httpcore import HttpClient
+from ..httpcore import Headers, HttpClient, Request, Response, split_url
 from . import plan
 from .compile import compile_query
 from .query import QueryError, expression_generation
@@ -116,12 +116,20 @@ class LocalPrometheusProvider(MetricsProvider):
 class HttpPrometheusProvider(MetricsProvider):
     """Queries a metrics server's ``/api/v1/query`` endpoint.
 
-    Identical queries issued concurrently are *single-flighted*: the first
-    caller performs the HTTP request and every overlapping caller awaits
-    the same in-flight result — the network analogue of
-    :class:`LocalPrometheusProvider`'s per-(tick, generation) memo.  When
-    N parallel strategies run the same per-tick check, the server sees one
-    request instead of N.
+    Queries are sent in **waves**: ``query`` only queues its query string,
+    and the first query of a loop turn starts a wave task that, two loop
+    turns later, takes every query queued meanwhile and sends
+    them as pipelined ``GET /api/v1/query`` requests over one connection
+    (:meth:`~repro.httpcore.HttpClient.send_many`).  A scheduler wave of N
+    checks therefore costs one round trip, not N, while the server sees
+    plain Prometheus-compatible requests.  Each query resolves as soon as
+    its own response is parsed; a failed response fails only its query.
+
+    Identical queries are *single-flighted*: a query already queued or in
+    flight is not sent again, every caller awaits the same result — the
+    network analogue of :class:`LocalPrometheusProvider`'s per-(tick,
+    generation) memo.  Callers are shielded from each other: cancelling
+    one never cancels the shared request.
     """
 
     name = "prometheus"
@@ -131,58 +139,108 @@ class HttpPrometheusProvider(MetricsProvider):
         self._client = client or HttpClient(timeout=10.0)
         self._owns_client = client is None
         self._inflight: dict[str, asyncio.Future[float | None]] = {}
+        #: Queries waiting for the next wave, in arrival order.
+        self._queued: list[str] = []
+        self._waves: set[asyncio.Task[None]] = set()
         #: How many calls were answered by piggybacking on an in-flight
         #: request (observability for tests and benchmarks).
         self.coalesced = 0
 
     async def query(self, query: str) -> float | None:
-        existing = self._inflight.get(query)
-        if existing is not None:
+        future = self._inflight.get(query)
+        if future is not None:
             self.coalesced += 1
-            # Shield: one cancelled follower must not cancel the shared
-            # fetch out from under the leader and the other followers.
-            return await asyncio.shield(existing)
-        future: asyncio.Future[float | None] = (
-            asyncio.get_running_loop().create_future()
-        )
-        self._inflight[query] = future
-        try:
-            value = await self._fetch(query)
-        except asyncio.CancelledError:
-            if not future.done():
-                future.cancel()
-            raise
-        except Exception as exc:
-            if not future.done():
-                future.set_exception(exc)
-                # Followers hold their own reference; mark the exception
-                # retrieved so a follower-less failure does not warn.
-                future.exception()
-            raise
         else:
-            future.set_result(value)
-            return value
-        finally:
-            self._inflight.pop(query, None)
+            loop = asyncio.get_running_loop()
+            future = loop.create_future()
+            self._inflight[query] = future
+            if not self._queued:
+                wave = loop.create_task(self._send_wave())
+                self._waves.add(wave)
+                wave.add_done_callback(self._waves.discard)
+            self._queued.append(query)
+        # Shield: a cancelled caller must not cancel the shared request
+        # out from under the other callers of this query.
+        return await asyncio.shield(future)
 
-    async def _fetch(self, query: str) -> float | None:
-        url = f"{self.base_url}/api/v1/query?query={quote(query)}"
+    async def _send_wave(self) -> None:
+        # One more loop turn: a condition with several queries starts its
+        # fetches under asyncio.gather, whose subtasks first run in the
+        # turn after the wave task was created — they queue now.
+        await asyncio.sleep(0)
+        queries, self._queued = self._queued, []
+        futures = [self._inflight[query] for query in queries]
+
+        def answer(index: int, response: Response) -> None:
+            try:
+                value = _query_value(response)
+            except Exception as exc:
+                self._settle(queries[index], futures[index], error=exc)
+            else:
+                self._settle(queries[index], futures[index], value=value)
+
         try:
-            response = await self._client.get(url)
+            # Parsed per wave, so a malformed base URL fails each query
+            # (ProviderError, which onProviderError policies handle), not
+            # the provider's construction.
+            host, port, path = split_url(f"{self.base_url}/api/v1/query")
+            authority = f"{host}:{port}"
+            requests = [
+                Request(
+                    method="GET",
+                    target=f"{path}?query={quote(query)}",
+                    headers=Headers({"Host": authority}),
+                )
+                for query in queries
+            ]
+            await self._client.send_many(requests, host, port, on_response=answer)
         except Exception as exc:
-            raise ProviderError(f"metrics server unreachable: {exc}") from exc
-        if response.status != 200:
-            raise ProviderError(
-                f"metrics server returned {response.status}: {response.body[:200]!r}"
-            )
-        payload = response.json()
-        if payload.get("status") != "success":
-            raise ProviderError(f"query failed: {payload.get('error')}")
-        return payload["data"]["value"]
+            error = ProviderError(f"metrics server unreachable: {exc}")
+            for query, future in zip(queries, futures):
+                self._settle(query, future, error=error)
+
+    def _settle(
+        self,
+        query: str,
+        future: "asyncio.Future[float | None]",
+        value: float | None = None,
+        error: BaseException | None = None,
+    ) -> None:
+        if self._inflight.get(query) is future:
+            del self._inflight[query]
+        if future.done():
+            return
+        if error is None:
+            future.set_result(value)
+        else:
+            future.set_exception(error)
+            # Callers hold their own shielded reference; mark the exception
+            # retrieved so a failure whose callers all left does not warn.
+            future.exception()
 
     async def close(self) -> None:
+        for wave in self._waves:
+            wave.cancel()
+        await asyncio.gather(*self._waves, return_exceptions=True)
+        # A wave cancelled before its first step never settled its queries.
+        self._queued.clear()
+        error = ProviderError("provider closed")
+        for query, future in list(self._inflight.items()):
+            self._settle(query, future, error=error)
         if self._owns_client:
             await self._client.close()
+
+
+def _query_value(response: Response) -> float | None:
+    """The scalar of one ``/api/v1/query`` answer, or :class:`ProviderError`."""
+    if response.status != 200:
+        raise ProviderError(
+            f"metrics server returned {response.status}: {response.body[:200]!r}"
+        )
+    payload = response.json()
+    if payload.get("status") != "success":
+        raise ProviderError(f"query failed: {payload.get('error')}")
+    return payload["data"]["value"]
 
 
 class HealthProvider(MetricsProvider):

@@ -46,7 +46,7 @@ def parse_endpoint(endpoint: str) -> tuple[str, int]:
     shadower both route through it, so the proxy and a shadow dispatch
     can never disagree on what a configured target means.  A missing
     port defaults to 80, matching the URL convention in
-    :func:`repro.httpcore.client._split_url`.
+    :func:`repro.httpcore.client.split_url`.
     """
     host, _, raw_port = endpoint.partition(":")
     if not host:

@@ -393,3 +393,38 @@ async def test_check_events_published_per_execution():
     assert len(completed) == 1
     assert completed[0].data["aggregated"] == 4
     assert completed[0].data["mapped"] == 1
+
+
+class CreepingClock(VirtualClock):
+    """A virtual clock that, like a real one, moves on every reading."""
+
+    def now(self):
+        self._now += 1e-6
+        return self._now
+
+
+async def test_state_checks_share_one_tick_grid():
+    """All checks of a state are armed from one clock reading, so
+    equal-interval checks evaluate as one wave on every tick."""
+    builder = StrategyBuilder("waves")
+    builder.service("svc", {"stable": "h:1", "canary": "h:2"})
+    state = builder.state("canary").route("svc", canary_split("stable", "canary", 5.0))
+    for index in range(3):
+        state.check(
+            simple_basic_check(
+                f"c{index}", "q", "<5", interval=1, repetitions=4, provider="static"
+            )
+        )
+    state.transitions([0.5], ["rollback", "done"])
+    builder.state("done").route("svc", single_version("canary")).final()
+    builder.state("rollback").route("svc", single_version("stable")).final(rollback=True)
+    clock = CreepingClock()
+    engine = Engine(clock=clock)
+    engine.register_provider("static", StaticProvider({"q": 1.0}))
+    execution_id = engine.enact(builder.build())
+    await asyncio.sleep(0)
+    await clock.advance(5)
+    report = await engine.wait(execution_id)
+    assert report.path == ["canary", "done"]
+    assert engine.scheduler.tick_waves == 4
+    assert engine.scheduler.last_wave_size == 3

@@ -212,3 +212,79 @@ async def test_schedule_subscribes_queries_to_plan_aware_providers():
     await asyncio.sleep(0)
     await clock.advance(5.0)
     await future
+
+
+class TimedProvider(StaticProvider):
+    """Canned values whose queries each cost virtual time on *clock*."""
+
+    def __init__(self, values, clock, costs):
+        super().__init__(values)
+        self.clock = clock
+        self.costs = costs
+        #: query -> the instants its evaluations started.
+        self.starts: dict[str, list[float]] = {}
+
+    async def query(self, query):
+        self.starts.setdefault(query, []).append(self.clock.now())
+        await self.clock.sleep(self.costs.get(query, 0.0))
+        return await super().query(query)
+
+
+async def run_timed(checks, costs, horizon, start=None):
+    clock = VirtualClock()
+    provider = TimedProvider({check.name: 1.0 for check in checks}, clock, costs)
+    scheduler = CheckScheduler(clock)
+    futures = [
+        scheduler.schedule(check, {"static": provider}, start=start)
+        for check in checks
+    ]
+    await asyncio.sleep(0)
+    await clock.advance(horizon)
+    results = await asyncio.gather(*futures)
+    await scheduler.close()
+    return scheduler, provider, results
+
+
+async def test_evaluation_cost_does_not_drift_the_tick_grid():
+    """Ticks are fixed-rate: the next deadline is previous + interval."""
+    check = make_check("c", interval=1.0, repetitions=4, query="c")
+    scheduler, provider, (result,) = await run_timed([check], {"c": 0.25}, 10.0)
+    assert provider.starts["c"] == [1.0, 2.0, 3.0, 4.0]
+    assert [e.at for e in result.executions] == [1.25, 2.25, 3.25, 4.25]
+    assert scheduler.ticks_skipped == 0
+
+
+async def test_overrunning_evaluation_skips_ticks_and_never_bursts():
+    check = make_check("c", interval=1.0, repetitions=3, query="c")
+    scheduler, provider, (result,) = await run_timed([check], {"c": 2.5}, 20.0)
+    # 1.0 + 2.5 = 3.5: deadlines 2 and 3 are past, the next tick is 4.
+    assert provider.starts["c"] == [1.0, 4.0, 7.0]
+    assert scheduler.ticks_skipped == 4
+    assert result.aggregated == 3  # skipped ticks are not repetitions
+
+
+async def test_evaluation_costing_exactly_one_interval_keeps_every_tick():
+    check = make_check("c", interval=1.0, repetitions=3, query="c")
+    scheduler, provider, _ = await run_timed([check], {"c": 1.0}, 10.0)
+    assert provider.starts["c"] == [1.0, 2.0, 3.0]
+    assert scheduler.ticks_skipped == 0
+
+
+async def test_explicit_start_anchors_the_grid():
+    check = make_check("c", interval=2.0, repetitions=2, query="c")
+    _, provider, _ = await run_timed([check], {}, 10.0, start=-1.5)
+    assert provider.starts["c"] == [0.5, 2.5]
+
+
+async def test_equal_interval_checks_stay_one_wave_on_every_tick():
+    """Unequal evaluation costs no longer split a shared-deadline wave."""
+    checks = [
+        make_check(f"c{i}", interval=1.0, repetitions=4, query=f"c{i}")
+        for i in range(8)
+    ]
+    costs = {f"c{i}": 0.1 * i for i in range(8)}
+    scheduler, provider, _ = await run_timed(checks, costs, 10.0)
+    assert scheduler.tick_waves == 4  # one 8-check wave per tick
+    assert scheduler.last_wave_size == 8
+    for i in range(8):
+        assert provider.starts[f"c{i}"] == [1.0, 2.0, 3.0, 4.0]

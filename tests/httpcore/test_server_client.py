@@ -268,15 +268,15 @@ async def test_server_stop_idempotent():
 
 
 def test_split_url_variants():
-    from repro.httpcore.client import _split_url
+    from repro.httpcore.client import split_url
 
-    assert _split_url("http://h:81/p?q=1") == ("h", 81, "/p?q=1")
-    assert _split_url("h:81") == ("h", 81, "/")
-    assert _split_url("http://h/p") == ("h", 80, "/p")
+    assert split_url("http://h:81/p?q=1") == ("h", 81, "/p?q=1")
+    assert split_url("h:81") == ("h", 81, "/")
+    assert split_url("http://h/p") == ("h", 80, "/p")
     with pytest.raises(ValueError):
-        _split_url("https://secure")
+        split_url("https://secure")
     with pytest.raises(ValueError):
-        _split_url("http://:80/")
+        split_url("http://:80/")
 
 
 async def test_idle_connections_observability():

@@ -4,8 +4,9 @@ The workload models the paper's check-sweep under sustained ingest: 512
 checks (64 metric names x 8 query shapes, several sharing a ``rate``
 subexpression) evaluated every tick over 60 s windows, while every tick a
 scrape lands one new sample per series.  The baseline replays the seed
-engine: streaming aggregates off, every check evaluated independently
-(full window rescan per range function), samples recorded one at a time.
+engine with the rescanning reference evaluator (``tests/oracles/rescan.py``):
+every check evaluated independently, a full window rescan per range
+function, samples recorded one at a time.
 The incremental engine uses the shared evaluation plan
 (:class:`repro.metrics.plan.EvaluationPlan`), streaming window aggregates,
 and ``record_batch`` ingest.
@@ -23,8 +24,9 @@ import os
 import time
 from pathlib import Path
 
-from repro.metrics import EvaluationPlan, MetricStore, evaluate_scalar
+from repro.metrics import EvaluationPlan, MetricStore
 from repro.metrics import aggregate
+from tests.oracles.rescan import evaluate_scalar
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -96,29 +98,27 @@ def _tick_batch(step: int, at: float):
 
 def _run_baseline(queries) -> tuple[float, dict[str, float | None]]:
     """Seed path: per-point ingest, independent full-rescan evaluation."""
-    with aggregate.disabled():
-        store = MetricStore(retention=3600.0)
-        now = _seed(store, batched=False)
-        # Mirror the incremental run's warm tick so both engines see the
-        # exact same samples when their answers are compared.
+    store = MetricStore(retention=3600.0)
+    now = _seed(store, batched=False)
+    # Mirror the incremental run's warm tick so both engines see the
+    # exact same samples when their answers are compared.
+    now += SCRAPE_SPACING_S
+    for name, value, timestamp, labels in _tick_batch(999, now):
+        store.record(name, value, timestamp, labels)
+    results: dict[str, float | None] = {}
+    start = time.perf_counter()
+    for tick in range(TICKS):
         now += SCRAPE_SPACING_S
-        for name, value, timestamp, labels in _tick_batch(999, now):
+        for name, value, timestamp, labels in _tick_batch(1000 + tick, now):
             store.record(name, value, timestamp, labels)
-        results: dict[str, float | None] = {}
-        start = time.perf_counter()
-        for tick in range(TICKS):
-            now += SCRAPE_SPACING_S
-            for name, value, timestamp, labels in _tick_batch(1000 + tick, now):
-                store.record(name, value, timestamp, labels)
-            for query in queries:
-                results[query] = evaluate_scalar(store, query, now)
-        elapsed = time.perf_counter() - start
+        for query in queries:
+            results[query] = evaluate_scalar(store, query, now)
+    elapsed = time.perf_counter() - start
     return elapsed / TICKS, results
 
 
 def _run_incremental(queries) -> tuple[float, dict[str, float | None], dict]:
     """Shipped path: batched ingest + shared plan + streaming aggregates."""
-    assert aggregate.enabled()
     store = MetricStore(retention=3600.0)
     now = _seed(store, batched=True)
     plan = EvaluationPlan(store, {query: query for query in queries})

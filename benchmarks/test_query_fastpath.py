@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 from repro.metrics import MetricStore, evaluate_scalar, parse
-from repro.metrics.compile import compile_query
+from repro.metrics.query import compile_query
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 

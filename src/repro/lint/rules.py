@@ -530,7 +530,7 @@ def shadow_live_target(model: LintModel, config: LintConfig) -> Iterator[Diagnos
     blocking=True,
 )
 def bad_metric_query(model: LintModel, config: LintConfig) -> Iterator[Diagnostic]:
-    from ..metrics.compile import compile_query
+    from ..metrics.query import compile_query
 
     # chaos steady-state hypotheses are ordinary checks; their queries
     # must compile just like phase checks' queries do.
@@ -543,7 +543,7 @@ def bad_metric_query(model: LintModel, config: LintConfig) -> Iterator[Diagnosti
         seen: set[str] = set()
         for check in checks:
             for query in check.queries:
-                # metrics/compile.py speaks the PromQL subset; queries
+                # metrics/query.py speaks the PromQL subset; queries
                 # bound to other providers use whatever syntax that
                 # provider accepts and cannot be checked statically.
                 if query.provider != "prometheus" or query.query in seen:

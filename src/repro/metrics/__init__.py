@@ -7,12 +7,11 @@ the provider interface the Bifrost engine queries.
 
 from .aggregate import aggregate_cache_info
 from .cadvisor import CpuMeter, ResourceSampler, process_cpu_seconds, process_rss_bytes
-from .compile import compile_query
 from .exposition import parse as parse_exposition
 from .exposition import parse_tolerant as parse_exposition_tolerant
 from .exposition import render as render_exposition
 from .exposition import render_lines as render_exposition_lines
-from .plan import EvaluationPlan, plan_cache_info, planner_for
+from .plan import EvaluationPlan, planner_for
 from .provider import (
     HealthProvider,
     HttpPrometheusProvider,
@@ -24,9 +23,9 @@ from .provider import (
 from .query import (
     QueryError,
     VectorSample,
+    compile_query,
     evaluate,
     evaluate_scalar,
-    expression_generation,
     layout_cache_info,
     parse,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "evaluate",
     "evaluate_scalar",
     "EvaluationPlan",
-    "expression_generation",
     "Gauge",
     "HealthProvider",
     "Histogram",
@@ -59,7 +57,6 @@ __all__ = [
     "parse",
     "parse_exposition",
     "parse_exposition_tolerant",
-    "plan_cache_info",
     "planner_for",
     "process_cpu_seconds",
     "process_rss_bytes",

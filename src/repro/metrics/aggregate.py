@@ -34,12 +34,13 @@ subtraction does not undo float addition.  Two rules bound the drift:
    eviction just paid, so it is amortized free and makes the common
    "first evaluation after seeding" case exact;
 2. otherwise an eviction debt accumulates and the state re-sums after
-   ``resum_interval`` evicted samples (default 4096), bounding steady-
-   state drift to a handful of ulps between re-sums.
+   its ``resum_interval`` evicted samples (default 4096), bounding
+   steady-state drift to a handful of ulps between re-sums.
 
-With ``resum_interval=1`` every read after an eviction re-sums, making the
-incremental path *exactly* equal to the rescan reference — the property
-suite (``tests/property/test_incremental_aggregates.py``) asserts bitwise
+With a state's ``resum_interval`` set to 1 every read after an eviction
+re-sums, making the incremental path *exactly* equal to the rescan
+reference — the property suite
+(``tests/property/test_incremental_aggregates.py``) asserts bitwise
 equality in that mode and tight ``isclose`` bounds in the default mode.
 ``min``/``max``/``count`` are exact in every mode.
 
@@ -53,9 +54,7 @@ order.
 
 from __future__ import annotations
 
-import os
 from collections import deque
-from contextlib import contextmanager
 from typing import Callable, Sequence
 from weakref import WeakSet
 
@@ -316,51 +315,12 @@ class WindowState:
         return True, rate * elapsed
 
 
-# -- registration and the module switch ---------------------------------------
+# -- registration ---------------------------------------------------------------
 
 #: Series carrying at least one window state (weak: dies with the series).
 _TRACKED: "WeakSet[TimeSeries]" = WeakSet()
 
 _STATS = {"hits": 0, "fallbacks": 0, "registrations": 0}
-
-_ENABLED = os.environ.get("BIFROST_INCREMENTAL", "1") not in ("0", "false")
-
-#: Re-sum interval applied to newly created states (tests tighten it).
-_RESUM_INTERVAL = DEFAULT_RESUM_INTERVAL
-
-
-def enabled() -> bool:
-    """Whether range functions consult streaming aggregates."""
-    return _ENABLED
-
-
-def set_enabled(value: bool) -> None:
-    global _ENABLED
-    _ENABLED = bool(value)
-
-
-@contextmanager
-def disabled():
-    """Force the rescanning reference path (property tests, benchmarks)."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous
-
-
-@contextmanager
-def resum_interval(interval: int):
-    """Override the re-sum interval for states created inside the block."""
-    global _RESUM_INTERVAL
-    previous = _RESUM_INTERVAL
-    _RESUM_INTERVAL = interval
-    try:
-        yield
-    finally:
-        _RESUM_INTERVAL = previous
 
 
 def state_for(series: TimeSeries, window: float) -> WindowState:
@@ -375,7 +335,7 @@ def state_for(series: TimeSeries, window: float) -> WindowState:
         _TRACKED.add(series)
     state = by_window.get(window)
     if state is None:
-        state = WindowState(series, window, resum_interval=_RESUM_INTERVAL)
+        state = WindowState(series, window)
         by_window[window] = state
         series.add_listener(state)
         _STATS["registrations"] += 1
@@ -403,7 +363,7 @@ def cache_info() -> dict[str, int]:
 
 
 #: Import-friendly alias (``metrics.aggregate_cache_info``), mirroring
-#: ``layout_cache_info``/``plan_cache_info`` naming at the package level.
+#: ``layout_cache_info`` naming at the package level.
 aggregate_cache_info = cache_info
 
 
@@ -412,11 +372,7 @@ __all__ = [
     "RANGE_REFERENCE",
     "WindowState",
     "cache_info",
-    "disabled",
-    "enabled",
     "range_value",
     "rescan_value",
-    "resum_interval",
-    "set_enabled",
     "state_for",
 ]

@@ -3,19 +3,24 @@
 Many checks active in the same phase share query structure — twenty
 canary checks might all contain ``rate(http_requests_total{...}[30s])``
 somewhere in their expressions, wrapped in different arithmetic or
-aggregations.  Historically each check evaluated its whole tree
-independently; the only sharing was the provider's per-query-string memo,
-which two *different* strings never hit.
+aggregations.  A per-query-string memo would never share work between two
+*different* strings.
 
-:class:`Planner` fixes that structurally.  Compiled ASTs are frozen
+:class:`Planner` shares it structurally.  Compiled ASTs are frozen
 dataclasses, so structurally identical subtrees compare (and hash) equal;
 the planner interns every subexpression into a DAG of :class:`PlanNode`\\ s
 where each distinct subtree exists once, no matter how many checks
 reference it.  Evaluation walks the DAG with a per-node memo stamped
-``(at, generation-of-the-node's-shards)``: within one tick every distinct
-node evaluates exactly once and the result fans out to every subscribing
-expression — and because the stamp uses ``expression_generation``, a node
-reading only quiet shards stays memoized across ticks too.
+``(at, generation-of-the-node's-shards)`` (:func:`scoped_generation`):
+within one tick every distinct node evaluates exactly once and the result
+fans out to every subscribing expression — and a node reading only quiet
+shards stays memoized across ingest into other shards too.
+
+This memo is the only per-instant result cache on the query path.  A
+repeated query at the same instant is answered by its root node's memo:
+a query string maps to its root through one str-keyed dict, so the repeat
+costs a dict hit and a stamp comparison.  Root-level hits and misses are
+the metrics server's ``query_memo`` tallies.
 
 One planner exists per store (:func:`planner_for`, weakly keyed);
 :class:`~repro.metrics.provider.LocalPrometheusProvider` and the metrics
@@ -34,7 +39,7 @@ never ran) surface on the metrics server's ``/healthz``.
 
 from __future__ import annotations
 
-from weakref import WeakKeyDictionary, WeakSet
+from weakref import WeakKeyDictionary
 
 from . import aggregate
 from .query import (
@@ -52,8 +57,26 @@ from .query import (
 )
 from .store import MetricStore
 
-#: Distinct subscribed roots a planner interns before starting over.
+#: Distinct subscribed roots (or indexed query strings) a planner keeps
+#: before starting over.
 _ROOT_LIMIT = 4096
+
+
+def scoped_generation(store: MetricStore, names: frozenset[str]) -> int:
+    """Generation stamp over only the shards that metric *names* live in.
+
+    Memo entries stamped with it survive ingest into unrelated shards:
+    with N shards, a scrape landing in one shard invalidates roughly 1/N
+    of the memoized nodes instead of all of them.  An unsharded store
+    answers its store-wide generation; no names (pure scalar arithmetic)
+    means no store reads, so the stamp never moves.
+    """
+    shard_for = getattr(store, "shard_for", None)
+    if shard_for is None:
+        return store.generation
+    if not names:
+        return 0
+    return sum(shard_for(name).generation for name in names)
 
 
 class PlanNode:
@@ -104,9 +127,15 @@ class Planner:
 
     def __init__(self) -> None:
         self._nodes: dict[Expression, PlanNode] = {}
-        self._roots: set[Expression] = set()
+        self._roots: dict[Expression, PlanNode] = {}
+        #: Query string -> root node: a string query costs one str-keyed
+        #: dict hit instead of hashing its frozen AST.
+        self._by_query: dict[str, PlanNode] = {}
         self.node_hits = 0
         self.node_misses = 0
+        #: Whole queries answered by their root's memo vs evaluated.
+        self.root_hits = 0
+        self.root_misses = 0
 
     # -- interning ---------------------------------------------------------
 
@@ -122,29 +151,41 @@ class Planner:
         self._nodes[expression] = node
         return node
 
-    def subscribe(self, expression: Expression) -> PlanNode:
+    def subscribe(self, expression: Expression | str) -> PlanNode:
         """Register *expression* as a root (a check query, a server query).
 
         The first subscription of a root walks its tree bumping each
         node's use count — that is what makes sharing visible: a node with
         ``uses > 1`` serves more than one subscriber.  Re-subscribing the
-        same root is free and idempotent.
+        same root is free and idempotent.  A query string is compiled once
+        and indexed, so a string and its compiled AST share one root.
         """
-        if expression in self._roots:
-            return self._nodes[expression]
+        if isinstance(expression, str):
+            node = self._by_query.get(expression)
+            if node is None:
+                if len(self._by_query) >= _ROOT_LIMIT:
+                    self._reset()
+                node = self.subscribe(compile_query(expression))
+                self._by_query[expression] = node
+            return node
+        node = self._roots.get(expression)
+        if node is not None:
+            return node
         if len(self._roots) >= _ROOT_LIMIT:
-            # Unbounded distinct roots would leak nodes; start over like
-            # the provider's instant cache does.
-            self._nodes.clear()
-            self._roots.clear()
-        self._roots.add(expression)
-        node = self.intern(expression)
+            self._reset()
+        node = self._roots[expression] = self.intern(expression)
         stack = [node]
         while stack:
             current = stack.pop()
             current.uses += 1
             stack.extend(current.children)
         return node
+
+    def _reset(self) -> None:
+        # Unbounded distinct roots would leak nodes: start over.
+        self._nodes.clear()
+        self._roots.clear()
+        self._by_query.clear()
 
     # -- evaluation --------------------------------------------------------
 
@@ -156,9 +197,7 @@ class Planner:
         Returns the memoized vector itself — callers must treat it as
         immutable (every in-tree caller only reads it).
         """
-        if isinstance(expression, str):
-            expression = compile_query(expression)
-        return self._eval_node(store, self.subscribe(expression), at)
+        return self._eval_root(store, self.subscribe(expression), at)
 
     def evaluate_scalar(
         self, store: MetricStore, expression: Expression | str, at: float
@@ -168,10 +207,21 @@ class Planner:
             return None
         return sum(sample.value for sample in vector)
 
+    def _eval_root(
+        self, store: MetricStore, node: PlanNode, at: float
+    ) -> list[VectorSample]:
+        misses = self.node_misses
+        vector = self._eval_node(store, node, at)
+        if self.node_misses == misses:
+            self.root_hits += 1
+        else:
+            self.root_misses += 1
+        return vector
+
     def _eval_node(
         self, store: MetricStore, node: PlanNode, at: float
     ) -> list[VectorSample]:
-        stamp = (at, self._generation(store, node))
+        stamp = (at, scoped_generation(store, node.names))
         if node.memo_stamp == stamp:
             self.node_hits += 1
             return node.memo_value
@@ -192,16 +242,6 @@ class Planner:
         node.memo_stamp = stamp
         node.memo_value = value
         return value
-
-    @staticmethod
-    def _generation(store: MetricStore, node: PlanNode) -> int:
-        """Generation over only the shards *node* reads (scoped staleness)."""
-        shard_for = getattr(store, "shard_for", None)
-        if shard_for is None:
-            return store.generation
-        if not node.names:
-            return 0
-        return sum(shard_for(name).generation for name in node.names)
 
     # -- observability -----------------------------------------------------
 
@@ -231,7 +271,6 @@ class Planner:
 
 
 _PLANNERS: "WeakKeyDictionary[MetricStore, Planner]" = WeakKeyDictionary()
-_LIVE: "WeakSet[Planner]" = WeakSet()
 
 
 def planner_for(store: MetricStore) -> Planner:
@@ -240,21 +279,7 @@ def planner_for(store: MetricStore) -> Planner:
     if planner is None:
         planner = Planner()
         _PLANNERS[store] = planner
-        _LIVE.add(planner)
     return planner
-
-
-def evaluate_shared(
-    store: MetricStore, expression: Expression | str, at: float
-) -> list[VectorSample]:
-    """Evaluate via the store's shared plan (the provider/server hot path)."""
-    return planner_for(store).evaluate(store, expression, at)
-
-
-def evaluate_shared_scalar(
-    store: MetricStore, expression: Expression | str, at: float
-) -> float | None:
-    return planner_for(store).evaluate_scalar(store, expression, at)
 
 
 def subscribe(store: MetricStore, expression: Expression | str) -> None:
@@ -264,12 +289,7 @@ def subscribe(store: MetricStore, expression: Expression | str) -> None:
     expression contains over the series it currently matches, so the
     subscription's first tick already evaluates incrementally.
     """
-    if isinstance(expression, str):
-        expression = compile_query(expression)
-    node = planner_for(store).subscribe(expression)
-    if not aggregate.enabled():
-        return
-    stack = [node]
+    stack = [planner_for(store).subscribe(expression)]
     while stack:
         current = stack.pop()
         stack.extend(current.children)
@@ -281,45 +301,28 @@ def subscribe(store: MetricStore, expression: Expression | str) -> None:
                 aggregate.state_for(series, selector.window)
 
 
-def plan_cache_info() -> dict[str, int]:
-    """Aggregated counters over every live planner (process-wide view)."""
-    totals = {
-        "roots": 0,
-        "interned_nodes": 0,
-        "plan_shared_nodes": 0,
-        "plan_evaluations_saved": 0,
-        "node_hits": 0,
-        "node_misses": 0,
-    }
-    for planner in list(_LIVE):
-        for key, value in planner.cache_info().items():
-            totals[key] += value
-    return totals
-
-
 class EvaluationPlan:
     """A named batch of subscribed queries evaluated as one per-tick wave.
 
-    The explicit form of what the provider memo does implicitly: build it
-    from every check query active in a phase, call :meth:`evaluate_all`
-    once per tick, and each distinct subexpression across the whole batch
-    evaluates exactly once — the scalar results fan out per subscriber.
+    Build it from every check query active in a phase, call
+    :meth:`evaluate_all` once per tick, and each distinct subexpression
+    across the whole batch evaluates exactly once — the scalar results fan
+    out per subscriber.
     """
 
     def __init__(self, store: MetricStore, queries: dict[str, Expression | str]):
         self.store = store
         self.planner = planner_for(store)
-        self._roots: dict[str, PlanNode] = {}
-        for name, expression in queries.items():
-            if isinstance(expression, str):
-                expression = compile_query(expression)
-            self._roots[name] = self.planner.subscribe(expression)
+        self._roots: dict[str, PlanNode] = {
+            name: self.planner.subscribe(expression)
+            for name, expression in queries.items()
+        }
 
     def evaluate_all(self, at: float) -> dict[str, float | None]:
         """One tick: every subscriber's scalar, shared nodes computed once."""
         results: dict[str, float | None] = {}
         for name, node in self._roots.items():
-            vector = self.planner._eval_node(self.store, node, at)
+            vector = self.planner._eval_root(self.store, node, at)
             results[name] = (
                 sum(sample.value for sample in vector) if vector else None
             )
@@ -341,9 +344,7 @@ __all__ = [
     "EvaluationPlan",
     "PlanNode",
     "Planner",
-    "evaluate_shared",
-    "evaluate_shared_scalar",
-    "plan_cache_info",
     "planner_for",
+    "scoped_generation",
     "subscribe",
 ]

@@ -22,8 +22,7 @@ from urllib.parse import quote
 from ..clock import Clock, RealClock
 from ..httpcore import Headers, HttpClient, Request, Response, split_url
 from . import plan
-from .compile import compile_query
-from .query import QueryError, expression_generation
+from .query import QueryError
 from .store import MetricStore
 
 
@@ -44,25 +43,20 @@ class MetricsProvider:
         """Release any resources (HTTP connections)."""
 
 
-#: Distinct query strings memoized per provider before the memo resets.
-_INSTANT_CACHE_LIMIT = 4096
-
-
 class LocalPrometheusProvider(MetricsProvider):
     """Evaluates mini-PromQL against an in-process store.
 
-    Query strings go through the compiled-query cache
-    (:mod:`repro.metrics.compile`), and results are memoized per instant:
-    when parallel strategies issue the same query at the same clock tick
-    against an unchanged store, the expression evaluates once and every
-    other caller gets the cached scalar.  The memo is keyed per query on
-    ``(tick, expression_generation)`` — for a sharded store that stamp
-    covers only the shards the query can read, so scrape churn in one
-    shard leaves memoized results for every other shard's metrics live.
-    Under a real clock ``now()`` differs between calls, so the cache
-    naturally degrades to a no-op; under the virtual clock of the
-    scalability experiments it collapses N identical per-tick queries
-    into one.
+    Every query goes through the store's shared evaluation plan
+    (:mod:`repro.metrics.plan`), whose per-node memo is the one
+    per-instant result cache: when parallel strategies issue the same
+    query at the same clock tick against an unchanged store, the
+    expression evaluates once and every other caller gets the memoized
+    vector.  For a sharded store the memo stamp covers only the shards
+    the query can read, so scrape churn in one shard leaves memoized
+    results for every other shard's metrics live.  Under a real clock
+    ``now()`` differs between calls, so the memo never hits across
+    queries; under the virtual clock of the scalability experiments it
+    collapses N identical per-tick queries into one evaluation.
     """
 
     name = "prometheus"
@@ -70,16 +64,8 @@ class LocalPrometheusProvider(MetricsProvider):
     def __init__(self, store: MetricStore, clock: Clock | None = None):
         self.store = store
         self.clock = clock or RealClock()
-        #: query string -> ((tick, scoped generation), value)
-        self._instant_cache: dict[str, tuple[tuple[float, int], float | None]] = {}
-        #: Memo tallies, for observability and the scale-out benchmark.
-        self.cache_hits = 0
-        self.cache_misses = 0
-
-    @property
-    def planner(self) -> "plan.Planner":
-        """The store's shared evaluation planner (one per store)."""
-        return plan.planner_for(self.store)
+        #: The store's shared evaluation planner (one per store).
+        self.planner = plan.planner_for(store)
 
     def subscribe(self, query: str) -> None:
         """Pre-register *query* with the shared evaluation plan.
@@ -92,25 +78,12 @@ class LocalPrometheusProvider(MetricsProvider):
         surfaces the error through the normal no-data path.
         """
         try:
-            expression = compile_query(query)
+            plan.subscribe(self.store, query)
         except QueryError:
-            return
-        plan.subscribe(self.store, expression)
+            pass
 
     async def query(self, query: str) -> float | None:
-        now = self.clock.now()
-        expression = compile_query(query)
-        stamp = (now, expression_generation(self.store, expression))
-        entry = self._instant_cache.get(query)
-        if entry is not None and entry[0] == stamp:
-            self.cache_hits += 1
-            return entry[1]
-        self.cache_misses += 1
-        value = plan.evaluate_shared_scalar(self.store, expression, now)
-        if len(self._instant_cache) >= _INSTANT_CACHE_LIMIT:
-            self._instant_cache.clear()
-        self._instant_cache[query] = (stamp, value)
-        return value
+        return self.planner.evaluate_scalar(self.store, query, self.clock.now())
 
 
 class HttpPrometheusProvider(MetricsProvider):
@@ -126,10 +99,9 @@ class HttpPrometheusProvider(MetricsProvider):
     its own response is parsed; a failed response fails only its query.
 
     Identical queries are *single-flighted*: a query already queued or in
-    flight is not sent again, every caller awaits the same result — the
-    network analogue of :class:`LocalPrometheusProvider`'s per-(tick,
-    generation) memo.  Callers are shielded from each other: cancelling
-    one never cancels the shared request.
+    flight is not sent again, every caller awaits the same result.
+    Callers are shielded from each other: cancelling one never cancels the
+    shared request.
     """
 
     name = "prometheus"

@@ -30,7 +30,6 @@ from typing import Callable
 from weakref import WeakKeyDictionary
 
 from . import aggregate
-from .aggregate import RANGE_REFERENCE, _rate  # noqa: F401  (re-exported reference)
 from .series import TimeSeries
 from .store import LabelMatcher, MetricStore, _compile_anchored
 
@@ -334,9 +333,8 @@ def resolve_shard(store: MetricStore, name: str) -> MetricStore:
     return shard_for(name)
 
 
-@lru_cache(maxsize=4096)
 def expression_names(expression: Expression) -> frozenset[str]:
-    """Every metric name *expression* can read (memoized per AST)."""
+    """Every metric name *expression* can read."""
     names: set[str] = set()
     _collect_names(expression, names)
     return frozenset(names)
@@ -352,30 +350,6 @@ def _collect_names(node: Expression, names: set[str]) -> None:
     elif isinstance(node, BinaryOp):
         _collect_names(node.left, names)
         _collect_names(node.right, names)
-
-
-def expression_generation(store: MetricStore, expression: Expression) -> int:
-    """Generation stamp over only the shards *expression* can read.
-
-    Instant-result memos keyed on this stamp survive ingest into
-    unrelated shards: with N shards, a scrape landing in one shard
-    invalidates roughly 1/N of the cached queries instead of all of
-    them.  For unsharded stores (or scalar-only expressions against a
-    sharded store) this degrades to the store-wide generation.
-    """
-    shard_for = getattr(store, "shard_for", None)
-    if shard_for is None:
-        return store.generation
-    names = expression_names(expression)
-    if not names:
-        return 0  # pure scalar arithmetic: no store reads, never stale
-    return sum(shard_for(name).generation for name in names)
-
-
-#: The rescanning reference reductions now live in
-#: :mod:`repro.metrics.aggregate` next to the streaming states they verify;
-#: the historical name is kept for callers that reach for it directly.
-_RANGE_IMPL = RANGE_REFERENCE
 
 
 def evaluate(store: MetricStore, expression: Expression | str, at: float) -> list[VectorSample]:
@@ -422,17 +396,9 @@ def _eval(store: MetricStore, node: Expression, at: float) -> list[VectorSample]
             selector.name, selector.matchers
         )
         result = []
-        if aggregate.enabled():
-            function = node.function
-            for series in matched:
-                value = aggregate.range_value(series, function, window, at)
-                if value is not None:
-                    result.append(VectorSample(series.key.label_dict(), value))
-            return result
-        implementation = _RANGE_IMPL[node.function]
+        function = node.function
         for series in matched:
-            timestamps, values = series.window_arrays(at - window, at)
-            value = implementation(timestamps, values, window)
+            value = aggregate.range_value(series, function, window, at)
             if value is not None:
                 result.append(VectorSample(series.key.label_dict(), value))
         return result

@@ -20,10 +20,9 @@ from __future__ import annotations
 from ..clock import Clock, RealClock
 from ..httpcore import HttpClient, HttpServer, Request, Response
 from .aggregate import cache_info as aggregate_cache_info
-from .compile import cache_info as compiled_query_cache_info
 from .exposition import render_lines
 from .plan import planner_for
-from .query import QueryError, layout_cache_info
+from .query import QueryError, compile_query, layout_cache_info
 from .registry import Registry
 from .scraper import Scraper
 from .store import MetricStore, ShardedMetricStore
@@ -79,16 +78,6 @@ class MetricsServer(HttpServer):
             "Query-path cache hits and misses",
             label_names=("cache", "event"),
         )
-        #: Per-(tick, generation) memo of rendered query responses — the
-        #: HTTP twin of ``LocalPrometheusProvider``'s instant cache.  When
-        #: N parallel strategies hit the server with the same query at the
-        #: same clock instant against an unchanged store, the expression
-        #: evaluates (and serializes) once.
-        self._query_cache: dict[str, bytes] = {}
-        self._query_cache_key: tuple[float, int] | None = None
-        #: Memo hit/miss tallies, exposed on ``/healthz`` for operators.
-        self.query_cache_hits = 0
-        self.query_cache_misses = 0
         #: Circuit breakers surfaced on ``/healthz`` — anything with a
         #: ``snapshot()`` (see ``CircuitBreaker.snapshot``).
         self.breakers: dict[str, object] = {}
@@ -113,41 +102,27 @@ class MetricsServer(HttpServer):
                 {"status": "error", "error": "missing query parameter"}, 400
             )
         now = self.clock.now()
-        cache_key = (now, self.store.generation)
-        if cache_key != self._query_cache_key:
-            self._query_cache_key = cache_key
-            self._query_cache.clear()
-        body = self._query_cache.get(query)
-        if body is None:
-            self.query_cache_misses += 1
-            try:
-                # Shared-plan evaluation: distinct subexpressions across
-                # every query hitting this server (and any local provider
-                # on the same store) evaluate once per tick.
-                vector = planner_for(self.store).evaluate(self.store, query, now)
-            except QueryError as exc:
-                return Response.from_json(
-                    {"status": "error", "error": str(exc)}, 400
-                )
-            scalar = sum(sample.value for sample in vector) if vector else None
-            response = Response.from_json(
-                {
-                    "status": "success",
-                    "data": {
-                        "value": scalar,
-                        "vector": [
-                            {"labels": sample.labels, "value": sample.value}
-                            for sample in vector
-                        ],
-                    },
-                }
-            )
-            self._query_cache[query] = response.body
-            return response
-        self.query_cache_hits += 1
-        response = Response(status=200, body=body)
-        response.headers.setdefault("Content-Type", "application/json")
-        return response
+        try:
+            # Shared-plan evaluation: a repeated query at the same instant
+            # is answered by its root's memo, and distinct subexpressions
+            # across every query hitting this server (and any local
+            # provider on the same store) evaluate once per tick.
+            vector = planner_for(self.store).evaluate(self.store, query, now)
+        except QueryError as exc:
+            return Response.from_json({"status": "error", "error": str(exc)}, 400)
+        scalar = sum(sample.value for sample in vector) if vector else None
+        return Response.from_json(
+            {
+                "status": "success",
+                "data": {
+                    "value": scalar,
+                    "vector": [
+                        {"labels": sample.labels, "value": sample.value}
+                        for sample in vector
+                    ],
+                },
+            }
+        )
 
     async def _handle_ingest(self, request: Request) -> Response:
         """Push-style ingestion: the whole batch lands, or none of it does.
@@ -204,13 +179,13 @@ class MetricsServer(HttpServer):
         return Response.from_json({"status": "success", "data": names})
 
     async def _handle_self_metrics(self, request: Request) -> Response:
-        compiled = compiled_query_cache_info()
+        compiled = compile_query.cache_info()
         layout = layout_cache_info()
         planner = planner_for(self.store)
         aggregates = aggregate_cache_info()
         tallies = {
-            ("query_memo", "hit"): self.query_cache_hits,
-            ("query_memo", "miss"): self.query_cache_misses,
+            ("query_memo", "hit"): planner.root_hits,
+            ("query_memo", "miss"): planner.root_misses,
             ("compiled_query", "hit"): compiled.hits,
             ("compiled_query", "miss"): compiled.misses,
             ("histogram_layout", "hit"): layout["hits"],
@@ -230,9 +205,10 @@ class MetricsServer(HttpServer):
         return response
 
     async def _handle_health(self, request: Request) -> Response:
-        compiled = compiled_query_cache_info()
+        compiled = compile_query.cache_info()
         layout = layout_cache_info()
         planner = planner_for(self.store)
+        plan_info = planner.cache_info()
         shards = getattr(self.store, "shards", None)
         shard_view = (
             {
@@ -260,9 +236,9 @@ class MetricsServer(HttpServer):
                 },
                 "caches": {
                     "query_memo": {
-                        "hits": self.query_cache_hits,
-                        "misses": self.query_cache_misses,
-                        "size": len(self._query_cache),
+                        "hits": planner.root_hits,
+                        "misses": planner.root_misses,
+                        "size": plan_info["roots"],
                     },
                     "compiled_query": {
                         "hits": compiled.hits,
@@ -270,10 +246,10 @@ class MetricsServer(HttpServer):
                         "size": compiled.currsize,
                     },
                     "histogram_layout": layout,
-                    "evaluation_plan": planner.cache_info(),
+                    "evaluation_plan": plan_info,
                     "window_aggregates": aggregate_cache_info(),
                 },
-                "plan_shared_nodes": planner.shared_nodes,
-                "plan_evaluations_saved": planner.evaluations_saved,
+                "plan_shared_nodes": plan_info["plan_shared_nodes"],
+                "plan_evaluations_saved": plan_info["plan_evaluations_saved"],
             }
         )

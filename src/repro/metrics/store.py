@@ -248,11 +248,11 @@ class ShardedMetricStore:
     operators over different names).
 
     Each shard keeps its *own* generation counters, selector caches, and
-    histogram bucket layouts.  That per-shard isolation is the scale-out
-    win: ingest into one shard invalidates only that shard's cached query
-    state, so under continuous scrape churn the other shards' memoized
-    results stay live (see ``expression_generation`` in
-    :mod:`repro.metrics.query`).
+    histogram bucket layouts.  That per-shard isolation scopes
+    invalidation: ingest into one shard invalidates only that shard's
+    cached query state, so under continuous scrape churn the evaluation
+    plan's memoized results for the other shards' metrics stay live (see
+    ``scoped_generation`` in :mod:`repro.metrics.plan`).
     """
 
     def __init__(self, shard_count: int = 4, retention: float | None = None):
@@ -281,7 +281,7 @@ class ShardedMetricStore:
         """Sum of shard generations — monotonic, bumps on any mutation.
 
         Callers needing finer invalidation (only the shards a query can
-        read) should use ``query.expression_generation`` instead.
+        read) should use ``plan.scoped_generation`` instead.
         """
         return sum(shard.generation for shard in self.shards)
 

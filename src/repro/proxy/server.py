@@ -35,7 +35,7 @@ from ..httpcore import (
     SetCookie,
 )
 from ..metrics import Registry, render_exposition_lines
-from ..metrics.compile import cache_info as compiled_query_cache_info
+from ..metrics.query import compile_query
 from .filters import CLIENT_COOKIE, FilterChain, RoutingDecision
 from .plan import EndpointRing, RoutingPlan, normalize_endpoints
 from .shadow import Shadower
@@ -465,7 +465,7 @@ class BifrostProxy(HttpServer):
         self.breakers[name] = breaker
 
     async def _handle_health(self, request: Request) -> Response:
-        compiled = compiled_query_cache_info()
+        compiled = compile_query.cache_info()
         return Response.from_json(
             {
                 "status": "up",

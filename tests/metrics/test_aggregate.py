@@ -7,12 +7,11 @@ from repro.metrics import aggregate_cache_info
 from repro.metrics.aggregate import (
     RANGE_REFERENCE,
     WindowState,
-    disabled,
     range_value,
     rescan_value,
-    resum_interval,
     state_for,
 )
+from tests.oracles import rescan
 
 FUNCTIONS = sorted(RANGE_REFERENCE)
 
@@ -109,10 +108,10 @@ def test_eviction_dominating_pass_resums_exactly():
 
 
 def test_resum_interval_one_is_always_exact():
-    with resum_interval(1):
-        series = _series([(float(t), math.sin(t) * 1e6) for t in range(64)])
-        for at in (20.0, 33.0, 47.0, 63.0):
-            _assert_matches_rescan(series, 13.0, at)
+    series = _series([(float(t), math.sin(t) * 1e6) for t in range(64)])
+    state_for(series, 13.0).resum_interval = 1
+    for at in (20.0, 33.0, 47.0, 63.0):
+        _assert_matches_rescan(series, 13.0, at)
 
 
 def test_default_interval_is_close_after_many_slides():
@@ -128,13 +127,13 @@ def test_state_is_shared_per_series_window_pair():
 
 
 def test_query_results_identical_with_aggregates_disabled():
+    """The rescanning oracle, which never reads window states, agrees."""
     store = MetricStore()
     for t in range(40):
         store.record("hits_total", float(t * 2), float(t), {"instance": "a"})
     query = "rate(hits_total[15s])"
     incremental = evaluate_scalar(store, query, 39.0)
-    with disabled():
-        reference = evaluate_scalar(store, query, 39.0)
+    reference = rescan.evaluate_scalar(store, query, 39.0)
     assert incremental == reference
 
 

@@ -1,4 +1,4 @@
-"""The metrics query fast path: compile cache, name index, instant cache.
+"""The metrics query fast path: compile cache, name index, per-instant memo.
 
 Behavioral tests for the performance machinery added around the store and
 providers — correctness of caching and invalidation, not speed (speed is
@@ -16,7 +16,6 @@ from repro.metrics import (
     evaluate_scalar,
     parse,
 )
-from repro.metrics.compile import cache_info, clear_cache
 from repro.metrics.series import SeriesKey, TimeSeries
 
 
@@ -24,11 +23,11 @@ from repro.metrics.series import SeriesKey, TimeSeries
 
 
 def test_compile_query_memoizes_per_string():
-    clear_cache()
+    compile_query.cache_clear()
     first = compile_query('errors{instance="a", code=~"5.."}')
     second = compile_query('errors{instance="a", code=~"5.."}')
     assert first is second  # same object, no re-parse
-    assert cache_info().hits >= 1
+    assert compile_query.cache_info().hits >= 1
 
 
 def test_compile_query_equals_fresh_parse():
@@ -130,7 +129,7 @@ def test_value_at_matches_at():
     assert series.value_at(100.0, staleness=10.0) is None
 
 
-# -- per-instant provider cache -----------------------------------------------------
+# -- per-instant memo (the evaluation plan, reached through the provider) ----------
 
 
 class CountingStore(MetricStore):
@@ -151,7 +150,7 @@ async def test_instant_cache_collapses_identical_queries_per_tick():
     query = 'errors{instance="search:80"}'
     assert await provider.query(query) == 3.0
     before = store.select_calls
-    assert await provider.query(query) == 3.0  # same tick: served from cache
+    assert await provider.query(query) == 3.0  # same tick: root memo answers
     assert store.select_calls == before
 
 

@@ -9,7 +9,8 @@ from repro.metrics import (
     evaluate_scalar,
     planner_for,
 )
-from repro.metrics.compile import compile_query
+from repro.metrics.query import compile_query
+from repro.metrics import plan
 from repro.metrics.plan import Planner, subscribe
 
 
@@ -137,3 +138,44 @@ def test_malformed_subscription_is_ignored():
     store = MetricStore()
     provider = LocalPrometheusProvider(store, clock=VirtualClock())
     provider.subscribe("not a ((( query")  # must not raise
+
+
+def test_string_and_compiled_query_share_one_root():
+    store = _populated()
+    planner = Planner()
+    query = "sum(rate(hits_total[10s])) * 2"
+    from_string = planner.subscribe(query)
+    assert planner.subscribe(compile_query(query)) is from_string
+    assert planner.subscribe(query) is from_string
+    assert from_string.uses == 1
+    assert planner.cache_info()["roots"] == 1
+    # Evaluating either form is answered by the same root memo.
+    first = planner.evaluate_scalar(store, query, 29.0)
+    hits = planner.root_hits
+    assert planner.evaluate_scalar(store, compile_query(query), 29.0) == first
+    assert planner.root_hits == hits + 1
+
+
+def test_string_queries_answer_after_root_limit_reset(monkeypatch):
+    monkeypatch.setattr(plan, "_ROOT_LIMIT", 2)
+    store = _populated()
+    planner = Planner()
+    queries = [
+        "rate(hits_total[10s])",
+        "rate(errs_total[10s])",
+        "sum(rate(hits_total[10s]))",
+    ]
+    expected = {query: evaluate_scalar(store, query, 29.0) for query in queries}
+    for query in queries[:2]:
+        assert planner.evaluate_scalar(store, query, 29.0) == expected[query]
+    assert set(planner._by_query) == set(queries[:2])
+    # The third distinct string overflows the limit: the index, the roots
+    # and the interned nodes start over, keeping only the new query.
+    assert planner.evaluate_scalar(store, queries[2], 29.0) == expected[queries[2]]
+    assert set(planner._by_query) == {queries[2]}
+    assert planner.cache_info()["roots"] == 1
+    planner._reset()
+    assert planner._by_query == {} and planner.interned_nodes == 0
+    # Queries dropped by a reset re-compile and still answer correctly.
+    for query in queries:
+        assert planner.evaluate_scalar(store, query, 29.0) == expected[query]

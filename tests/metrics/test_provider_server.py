@@ -269,7 +269,7 @@ async def test_ingest_same_timestamp_is_accepted():
     assert len(server.store.select("m")[0]) == 2
 
 
-# -- server-side query cache ------------------------------------------------------
+# -- server queries answered by the plan memo --------------------------------------
 
 
 class _CountingStore(MetricStore):
@@ -296,8 +296,8 @@ async def test_server_query_cache_collapses_identical_queries_per_tick():
             first = await client.get(url)
             calls_after_first = server.store.select_calls
             second = await client.get(url)
-            # Same tick, unchanged store: the second response is served
-            # from the rendered-body memo without touching the store.
+            # Same tick, unchanged store: the second response is answered
+            # by the plan's root memo without touching the store.
             assert server.store.select_calls == calls_after_first
             assert second.json() == first.json()
             assert second.headers.get("Content-Type") == "application/json"
@@ -316,7 +316,7 @@ async def test_server_query_cache_invalidated_by_mutation_and_tick():
             assert (await client.get(url)).json()["data"]["value"] == 1.0
             server.store.record("hits", 5.0, 10.0)  # same tick, store changed
             assert (await client.get(url)).json()["data"]["value"] == 5.0
-            await clock.advance(400.0)  # past staleness: cache must not mask it
+            await clock.advance(400.0)  # past staleness: memo must not mask it
             assert (await client.get(url)).json()["data"]["value"] is None
     finally:
         await server.stop()

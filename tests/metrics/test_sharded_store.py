@@ -81,7 +81,7 @@ async def test_provider_memo_survives_other_shard_ingest():
     assert await provider.query(name_b) == 2.0
     sharded.record(name_a, 3.0, 100.5)  # churn in the *other* shard
     assert await provider.query(name_b) == 2.0
-    assert provider.cache_hits == 1
+    assert provider.planner.root_hits == 1
 
     # Against a monolithic store the same interleaving evaluates twice.
     mono = MetricStore()
@@ -91,8 +91,8 @@ async def test_provider_memo_survives_other_shard_ingest():
     assert await mono_provider.query(name_b) == 2.0
     mono.record(name_a, 3.0, 100.5)
     assert await mono_provider.query(name_b) == 2.0
-    assert mono_provider.cache_hits == 0
-    assert mono_provider.cache_misses == 2
+    assert mono_provider.planner.root_hits == 0
+    assert mono_provider.planner.root_misses == 2
 
 
 async def test_sharded_ingest_is_atomic_across_shards():

@@ -37,8 +37,10 @@ ops = st.lists(
 )
 
 
-def _run(ops_list, window, check):
+def _run(ops_list, window, check, resum_interval=None):
     series = TimeSeries(SeriesKey.make("m"))
+    if resum_interval is not None:
+        aggregate.state_for(series, window).resum_interval = resum_interval
     now = 0.0
     for op in ops_list:
         if op[0] == "append":
@@ -65,8 +67,7 @@ def test_incremental_is_bitwise_exact_with_resum_interval_one(ops_list, window):
     def check(function, got, expected):
         assert got == expected, (function, got, expected)
 
-    with aggregate.resum_interval(1):
-        _run(ops_list, window, check)
+    _run(ops_list, window, check, resum_interval=1)
 
 
 @settings(max_examples=200, deadline=None)

@@ -15,8 +15,8 @@ from repro.metrics import (
     evaluate,
     shard_index_for,
 )
-from repro.metrics.compile import compile_query
-from repro.metrics.query import expression_generation
+from repro.metrics.plan import scoped_generation
+from repro.metrics.query import compile_query, expression_names
 
 NAME_POOL = [f"metric_{index}_total" for index in range(12)]
 INSTANCE_POOL = ["inst-0", "inst-1", "inst-2"]
@@ -124,10 +124,10 @@ def test_expression_generation_scopes_to_owning_shard(queried, recorded, shards)
     whose metric names live in that shard."""
     store = ShardedMetricStore(shard_count=shards)
     store.record(queried, 1.0, 0.0)
-    expression = compile_query(f"sum({queried})")
-    before = expression_generation(store, expression)
+    names = expression_names(compile_query(f"sum({queried})"))
+    before = scoped_generation(store, names)
     store.record(recorded, 2.0, 1.0)
-    moved = expression_generation(store, expression) != before
+    moved = scoped_generation(store, names) != before
     same_shard = shard_index_for(queried, shards) == shard_index_for(
         recorded, shards
     )
